@@ -3,7 +3,7 @@ package steady
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"repro/pkg/steady/platform"
 )
@@ -20,15 +20,39 @@ import (
 // Node order is significant: the built-in solvers address nodes by
 // index (Spec.Root == "" means node 0), so platforms that differ only
 // by node permutation are distinct solve inputs.
+//
+// The hashed stream is "steady/v1 <nodes> <edges>\n", then
+// "n <name> <weight>\n" per node and "e <from> <to> <cost>\n" per
+// edge. Cache keys and cluster key ownership depend on it byte for
+// byte.
 func Fingerprint(p *platform.Platform) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "steady/v1 %d %d\n", p.NumNodes(), p.NumEdges())
+	buf := make([]byte, 0, 32+24*p.NumNodes()+24*p.NumEdges())
+	buf = append(buf, "steady/v1 "...)
+	buf = strconv.AppendInt(buf, int64(p.NumNodes()), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(p.NumEdges()), 10)
+	buf = append(buf, '\n')
 	for i := 0; i < p.NumNodes(); i++ {
-		fmt.Fprintf(h, "n %s %s\n", p.Name(i), p.Weight(i))
+		buf = append(buf, "n "...)
+		buf = append(buf, p.Name(i)...)
+		buf = append(buf, ' ')
+		if w := p.Weight(i); w.Inf {
+			buf = append(buf, "inf"...)
+		} else {
+			buf, _ = w.Val.AppendText(buf) // never fails
+		}
+		buf = append(buf, '\n')
 	}
 	for e := 0; e < p.NumEdges(); e++ {
 		ed := p.Edge(e)
-		fmt.Fprintf(h, "e %d %d %s\n", ed.From, ed.To, ed.C)
+		buf = append(buf, "e "...)
+		buf = strconv.AppendInt(buf, int64(ed.From), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(ed.To), 10)
+		buf = append(buf, ' ')
+		buf, _ = ed.C.AppendText(buf) // never fails
+		buf = append(buf, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

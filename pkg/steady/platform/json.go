@@ -18,18 +18,28 @@ import (
 // while ErrInvalid guards decoded input, which is data, not code.
 var ErrInvalid = errors.New("platform: invalid")
 
-// jsonPlatform is the serialized form used by the cmd tools.
-type jsonPlatform struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
+// Wire is the canonical JSON form of a platform, the schema cmd/platgen
+// emits, cmd/ssched reads and the HTTP service accepts:
+// {"nodes": [{"name", "w"}], "edges": [{"from", "to", "c"}]} with
+// weights and costs as exact-rational strings ("3", "1/2", "inf" for a
+// forwarder-only node). Decode into a Wire, then call Build to get a
+// validated Platform; a caller that decodes a larger document can
+// embed a *Wire in it and build once the whole document is read.
+type Wire struct {
+	Nodes []WireNode `json:"nodes"`
+	Edges []WireEdge `json:"edges"`
 }
 
-type jsonNode struct {
+// WireNode is one node of a Wire: its name and its weight, a rational
+// or "inf".
+type WireNode struct {
 	Name string `json:"name"`
-	W    string `json:"w"` // rational or "inf"
+	W    string `json:"w"`
 }
 
-type jsonEdge struct {
+// WireEdge is one directed edge of a Wire, naming its endpoints, with
+// its rational cost.
+type WireEdge struct {
 	From string `json:"from"`
 	To   string `json:"to"`
 	C    string `json:"c"`
@@ -37,44 +47,57 @@ type jsonEdge struct {
 
 // WriteJSON serializes the platform.
 func (p *Platform) WriteJSON(w io.Writer) error {
-	jp := jsonPlatform{}
+	wire := Wire{
+		Nodes: make([]WireNode, 0, p.NumNodes()),
+		Edges: make([]WireEdge, 0, p.NumEdges()),
+	}
 	for i := 0; i < p.NumNodes(); i++ {
-		jp.Nodes = append(jp.Nodes, jsonNode{Name: p.Name(i), W: p.Weight(i).String()})
+		wire.Nodes = append(wire.Nodes, WireNode{Name: p.Name(i), W: p.Weight(i).String()})
 	}
 	for _, e := range p.Edges() {
-		jp.Edges = append(jp.Edges, jsonEdge{
+		wire.Edges = append(wire.Edges, WireEdge{
 			From: p.Name(e.From), To: p.Name(e.To), C: e.C.String(),
 		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jp)
+	return enc.Encode(wire)
 }
 
-// ReadJSON deserializes a platform written by WriteJSON. Decoded
-// input is data, not code, so every model violation — not just the
-// ones Validate can see after the fact — is checked before the graph
-// is built and reported as an error wrapping ErrInvalid; ReadJSON
-// never panics on malformed input (pkg/steady/server feeds request
-// bodies straight into it).
+// ReadJSON deserializes a platform written by WriteJSON: it decodes a
+// Wire and builds it. Unknown keys in the document are ignored, so
+// files carrying extra annotations still load in the cmd tools; the
+// HTTP service decodes its request bodies strictly instead.
 func ReadJSON(r io.Reader) (*Platform, error) {
-	var jp jsonPlatform
-	if err := json.NewDecoder(r).Decode(&jp); err != nil {
+	var w Wire
+	if err := json.NewDecoder(r).Decode(&w); err != nil {
 		return nil, fmt.Errorf("platform: decode: %w", err)
 	}
-	p := New()
-	idx := make(map[string]int, len(jp.Nodes))
-	for _, n := range jp.Nodes {
+	return w.Build()
+}
+
+// Build validates the decoded platform and constructs it. Decoded
+// input is data, not code, so every model violation — not just the
+// ones Validate can see after the fact — is checked before the graph
+// is built and reported as an error wrapping ErrInvalid; Build never
+// panics on malformed input (pkg/steady/server feeds request bodies
+// straight into it).
+func (w *Wire) Build() (*Platform, error) {
+	p := &Platform{
+		names: make([]string, 0, len(w.Nodes)),
+		w:     make([]Weight, 0, len(w.Nodes)),
+		edges: make([]Edge, 0, len(w.Edges)),
+	}
+	idx := make(map[string]int, len(w.Nodes))
+	for _, n := range w.Nodes {
 		if n.Name == "" {
 			return nil, fmt.Errorf("%w: node with empty name", ErrInvalid)
 		}
 		if _, dup := idx[n.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate node name %q", ErrInvalid, n.Name)
 		}
-		var w Weight
-		if n.W == "inf" {
-			w = WInf()
-		} else {
+		wt := WInf()
+		if n.W != "inf" {
 			v, err := rat.Parse(n.W)
 			if err != nil {
 				return nil, fmt.Errorf("%w: node %s: %v", ErrInvalid, n.Name, err)
@@ -82,11 +105,13 @@ func ReadJSON(r io.Reader) (*Platform, error) {
 			if v.Sign() <= 0 {
 				return nil, fmt.Errorf("%w: node %s: weight %s is not positive", ErrInvalid, n.Name, n.W)
 			}
-			w = W(v)
+			wt = W(v)
 		}
-		idx[n.Name] = p.AddNode(n.Name, w)
+		idx[n.Name] = len(p.names)
+		p.names = append(p.names, n.Name)
+		p.w = append(p.w, wt)
 	}
-	for _, e := range jp.Edges {
+	for _, e := range w.Edges {
 		from, okF := idx[e.From]
 		to, okT := idx[e.To]
 		if !okF || !okT {
@@ -102,10 +127,40 @@ func ReadJSON(r io.Reader) (*Platform, error) {
 		if c.Sign() <= 0 {
 			return nil, fmt.Errorf("%w: edge %s->%s: cost %s is not positive", ErrInvalid, e.From, e.To, e.C)
 		}
-		p.AddEdge(from, to, c)
+		p.edges = append(p.edges, Edge{From: from, To: to, C: c})
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if len(p.names) == 0 {
+		return nil, fmt.Errorf("%w: empty", ErrInvalid)
 	}
+	p.out, p.in = adjacency(len(p.names), p.edges)
 	return p, nil
+}
+
+// adjacency returns the outgoing and incoming edge lists of every
+// node, all carved from one backing array. Each list is capped at its
+// length, so a later AddEdge appending to one copies it rather than
+// overwriting its neighbour's.
+func adjacency(n int, edges []Edge) (out, in [][]int) {
+	out, in = make([][]int, n), make([][]int, n)
+	deg := make([]int, 2*n)
+	outDeg, inDeg := deg[:n], deg[n:]
+	for _, e := range edges {
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	backing := make([]int, 2*len(edges))
+	carve := func(lists [][]int, deg []int) {
+		for v, d := range deg {
+			if d > 0 {
+				lists[v], backing = backing[:0:d], backing[d:]
+			}
+		}
+	}
+	carve(out, outDeg)
+	carve(in, inDeg)
+	for i, e := range edges {
+		out[e.From] = append(out[e.From], i)
+		in[e.To] = append(in[e.To], i)
+	}
+	return out, in
 }

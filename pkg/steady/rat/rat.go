@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 )
 
 // Rat is an immutable exact rational number.
@@ -307,8 +308,17 @@ func Sum(xs ...Rat) Rat {
 	return s
 }
 
+// maxExactFloat bounds the integers a float64 holds exactly: every
+// integer of magnitude at most 2^53.
+const maxExactFloat = 1 << 53
+
 // Float64 returns the nearest float64 value.
 func (x Rat) Float64() float64 {
+	if x.b == nil && -maxExactFloat <= x.n && x.n <= maxExactFloat && x.den() <= maxExactFloat {
+		// Both operands are exact, and IEEE division rounds the exact
+		// quotient to nearest, as big.Rat.Float64 does.
+		return float64(x.n) / float64(x.den())
+	}
 	f, _ := x.bigRef().Float64()
 	return f
 }
@@ -342,20 +352,30 @@ func (x Rat) FloorInt64() (int64, bool) {
 
 // String formats x as "n" or "n/d".
 func (x Rat) String() string {
+	var buf [48]byte
+	b, _ := x.AppendText(buf[:0])
+	return string(b)
+}
+
+// AppendText implements encoding.TextAppender: it appends x as "n"
+// or "n/d" (lowest terms, positive denominator) to dst.
+func (x Rat) AppendText(dst []byte) ([]byte, error) {
 	if x.b != nil {
+		dst = x.b.Num().Append(dst, 10)
 		if x.b.IsInt() {
-			return x.b.Num().String()
+			return dst, nil
 		}
-		return x.b.String()
+		return x.b.Denom().Append(append(dst, '/'), 10), nil
 	}
-	if x.den() == 1 {
-		return fmt.Sprintf("%d", x.n)
+	dst = strconv.AppendInt(dst, x.n, 10)
+	if d := x.den(); d != 1 {
+		dst = strconv.AppendInt(append(dst, '/'), d, 10)
 	}
-	return fmt.Sprintf("%d/%d", x.n, x.den())
+	return dst, nil
 }
 
 // MarshalText implements encoding.TextMarshaler.
-func (x Rat) MarshalText() ([]byte, error) { return []byte(x.String()), nil }
+func (x Rat) MarshalText() ([]byte, error) { return x.AppendText(nil) }
 
 // UnmarshalText implements encoding.TextUnmarshaler, accepting the
 // formats produced by String as well as big.Rat's "n/d".
@@ -368,13 +388,67 @@ func (x *Rat) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Parse parses "n", "n/d" or a decimal like "1.5".
+// Parse parses "n", "n/d" or a decimal like "1.5", accepting exactly
+// what big.Rat.SetString accepts. The forms String produces for int64
+// values — "0" and -?[1-9][0-9]{0,17} optionally followed by
+// /[1-9][0-9]{0,17} — are parsed without math/big.
 func Parse(s string) (Rat, error) {
+	if r, ok := parseSmall(s); ok {
+		return r, nil
+	}
 	b, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return Rat{}, fmt.Errorf("rat: cannot parse %q", s)
 	}
 	return fromBig(b), nil
+}
+
+// maxSmallDigits bounds the digits parseSmall accepts per integer, so
+// that every accepted value fits in int64 (10^18 - 1 < 2^63 - 1).
+const maxSmallDigits = 18
+
+// parseSmall is Parse's fast path. It reports false for anything
+// outside the plain forms it documents, leaving those (and every
+// error) to big.Rat.SetString.
+func parseSmall(s string) (Rat, bool) {
+	if s == "0" {
+		return Rat{}, true
+	}
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	num, rest, ok := parseDigits(s)
+	if !ok {
+		return Rat{}, false
+	}
+	den := int64(1)
+	if rest != "" {
+		if rest[0] != '/' {
+			return Rat{}, false
+		}
+		if den, rest, ok = parseDigits(rest[1:]); !ok || rest != "" {
+			return Rat{}, false
+		}
+	}
+	if neg {
+		num = -num
+	}
+	return normSmall(num, den), true
+}
+
+// parseDigits reads a leading [1-9][0-9]{0,17} from s and returns its
+// value and the rest of s.
+func parseDigits(s string) (v int64, rest string, ok bool) {
+	i := 0
+	for i < len(s) && i <= maxSmallDigits && '0' <= s[i] && s[i] <= '9' {
+		v = v*10 + int64(s[i]-'0')
+		i++
+	}
+	if i == 0 || i > maxSmallDigits || s[0] == '0' {
+		return 0, "", false
+	}
+	return v, s[i:], true
 }
 
 // MustParse is Parse that panics on error; intended for constants.

@@ -71,7 +71,7 @@ func (s *Server) controlSolve(ctx context.Context, key string, solver steady.Sol
 }
 
 func (s *Server) handleDeploymentCreate(w http.ResponseWriter, r *http.Request) {
-	var req DeploymentRequest
+	var req decodedDeployment
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -80,7 +80,7 @@ func (s *Server) handleDeploymentCreate(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	p, err := s.buildPlatform(req.Platform)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return

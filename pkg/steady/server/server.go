@@ -43,7 +43,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -509,7 +508,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req SolveRequest
+	var req decodedSolve
 	if !decodeStrict(w, raw, &req) {
 		return
 	}
@@ -523,20 +522,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	p, err := s.buildPlatform(req.Platform)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
 
 	start := time.Now()
-	key := s.keys.intern(steady.Fingerprint(p), solver.Name())
+	name := solver.Name()
+	key := s.keys.intern(steady.Fingerprint(p), name)
 	if s.routeSolve(w, r, key, raw) {
 		return
 	}
-	res, err, hit := s.cache.DoSolve(r.Context(), key, solver.Name(), s.solveFn(r, key, solver, p))
+	res, err, hit := s.cache.DoSolve(r.Context(), key, name, s.solveFn(r, key, solver, p))
 	elapsed := time.Since(start)
-	s.metrics.observe(solver.Name(), elapsed, err != nil, hit)
+	s.metrics.observe(name, elapsed, err != nil, hit)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -545,7 +545,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+	var req decodedSweep
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -559,7 +559,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	jobs, err := s.sweepJobs(&req, gatedSolver{s: s, inner: solver})
+	jobs, err := s.sweepJobs(req.Generator, req.Platforms, gatedSolver{s: s, inner: solver})
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -621,7 +621,7 @@ func (s *Server) checkScenario(sc *sim.Scenario) error {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
+	var req decodedSimulate
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -639,16 +639,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	p, err := s.buildPlatform(req.Platform)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
 
 	start := time.Now()
-	key := s.keys.intern(steady.Fingerprint(p), solver.Name())
-	res, err, hit := s.cache.DoSolve(r.Context(), key, solver.Name(), s.solveFn(r, key, solver, p))
-	s.metrics.observe(solver.Name(), time.Since(start), err != nil, hit)
+	name := solver.Name()
+	key := s.keys.intern(steady.Fingerprint(p), name)
+	res, err, hit := s.cache.DoSolve(r.Context(), key, name, s.solveFn(r, key, solver, p))
+	s.metrics.observe(name, time.Since(start), err != nil, hit)
 	if err != nil {
 		s.simMetrics.observe("", true, false)
 		writeErr(w, statusFor(err), err)
@@ -696,7 +697,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
-	var req SimSweepRequest
+	var req decodedSimSweep
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -731,10 +732,7 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		labels[label] = i
 	}
-	jobs, err := s.sweepJobs(&SweepRequest{
-		Problem: req.Problem, Root: req.Root, Targets: req.Targets, Model: req.Model,
-		Generator: req.Generator, Platforms: req.Platforms,
-	}, gatedSolver{s: s, inner: solver})
+	jobs, err := s.sweepJobs(req.Generator, req.Platforms, gatedSolver{s: s, inner: solver})
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -799,19 +797,20 @@ func scenarioID(sc sim.Scenario, i int) string {
 	return fmt.Sprintf("s%02d", i)
 }
 
-// sweepJobs expands a sweep request into batch jobs, enforcing the
-// sweep and platform size limits.
-func (s *Server) sweepJobs(req *SweepRequest, solver steady.Solver) ([]batch.Job, error) {
-	if (req.Generator == nil) == (len(req.Platforms) == 0) {
+// sweepJobs expands a sweep's platform family — a generator or an
+// explicit list — into batch jobs, enforcing the sweep and platform
+// size limits.
+func (s *Server) sweepJobs(gen *Generator, platforms []*platform.Wire, solver steady.Solver) ([]batch.Job, error) {
+	if (gen == nil) == (len(platforms) == 0) {
 		return nil, fmt.Errorf("sweep needs exactly one of generator or platforms")
 	}
-	if len(req.Platforms) > 0 {
-		if len(req.Platforms) > s.cfg.MaxSweepJobs {
-			return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", len(req.Platforms), s.cfg.MaxSweepJobs)}
+	if len(platforms) > 0 {
+		if len(platforms) > s.cfg.MaxSweepJobs {
+			return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", len(platforms), s.cfg.MaxSweepJobs)}
 		}
-		jobs := make([]batch.Job, len(req.Platforms))
-		for i, raw := range req.Platforms {
-			p, err := decodePlatform(raw, s.cfg.MaxNodes, s.cfg.MaxEdges)
+		jobs := make([]batch.Job, len(platforms))
+		for i, wire := range platforms {
+			p, err := s.buildPlatform(wire)
 			if err != nil {
 				return nil, fmt.Errorf("platform %d: %w", i, err)
 			}
@@ -819,7 +818,7 @@ func (s *Server) sweepJobs(req *SweepRequest, solver steady.Solver) ([]batch.Job
 		}
 		return jobs, nil
 	}
-	return s.generatorJobs(req.Generator, solver)
+	return s.generatorJobs(gen, solver)
 }
 
 // generatorJobs builds the random-platform family of a Generator,
@@ -923,7 +922,14 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 // raw bytes to the key's owner verbatim.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// One allocation for a body of announced length: ReadFrom needs
+		// MinRead spare bytes to see the end of the body.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r.Body)
+	raw := buf.Bytes()
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -997,7 +1003,6 @@ type encBuf struct {
 var encPool = sync.Pool{New: func() any {
 	e := &encBuf{}
 	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
 	return e
 }}
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -120,6 +119,12 @@ func solveResponse(res *steady.Result, hit bool, elapsedMicros int64) *SolveResp
 		Trees:         res.Trees,
 		CacheHit:      hit,
 		ElapsedMicros: elapsedMicros,
+	}
+	if len(res.Nodes) > 0 {
+		out.Nodes = make([]NodeActivityJSON, 0, len(res.Nodes))
+	}
+	if len(res.Links) > 0 {
+		out.Links = make([]LinkActivityJSON, 0, len(res.Links))
 	}
 	for _, n := range res.Nodes {
 		jn := NodeActivityJSON{Name: n.Name, Alpha: n.Alpha.String()}
@@ -351,23 +356,50 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodePlatform parses a canonical-JSON platform and validates it
-// against the server's size limits.
-func decodePlatform(raw json.RawMessage, maxNodes, maxEdges int) (*platform.Platform, error) {
-	if len(raw) == 0 {
+// The handlers decode each request body in one pass into these
+// wrappers of the public request types: the platform field of the
+// wrapper shadows the embedded json.RawMessage one (encoding/json
+// picks the least nested field of a name), so the platform is decoded
+// straight into a platform.Wire, with the same unknown-field
+// strictness as the rest of the body, and the embedded raw field
+// stays empty.
+type (
+	decodedSolve struct {
+		SolveRequest
+		Platform *platform.Wire `json:"platform"`
+	}
+	decodedSimulate struct {
+		SimulateRequest
+		Platform *platform.Wire `json:"platform"`
+	}
+	decodedDeployment struct {
+		DeploymentRequest
+		Platform *platform.Wire `json:"platform"`
+	}
+	decodedSweep struct {
+		SweepRequest
+		Platforms []*platform.Wire `json:"platforms,omitempty"`
+	}
+	decodedSimSweep struct {
+		SimSweepRequest
+		Platforms []*platform.Wire `json:"platforms,omitempty"`
+	}
+)
+
+// buildPlatform checks a decoded platform against the server's size
+// limits, then builds and validates it. The limits are checked on the
+// decoded counts, so an oversized platform costs no build work.
+func (s *Server) buildPlatform(w *platform.Wire) (*platform.Platform, error) {
+	if w == nil {
 		return nil, fmt.Errorf("missing platform")
 	}
-	p, err := platform.ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
+	if n := len(w.Nodes); n > s.cfg.MaxNodes {
+		return nil, errTooLarge{fmt.Sprintf("platform has %d nodes, limit %d", n, s.cfg.MaxNodes)}
 	}
-	if p.NumNodes() > maxNodes {
-		return nil, errTooLarge{fmt.Sprintf("platform has %d nodes, limit %d", p.NumNodes(), maxNodes)}
+	if m := len(w.Edges); m > s.cfg.MaxEdges {
+		return nil, errTooLarge{fmt.Sprintf("platform has %d edges, limit %d", m, s.cfg.MaxEdges)}
 	}
-	if p.NumEdges() > maxEdges {
-		return nil, errTooLarge{fmt.Sprintf("platform has %d edges, limit %d", p.NumEdges(), maxEdges)}
-	}
-	return p, nil
+	return w.Build()
 }
 
 // errTooLarge marks a request that exceeded a size limit, mapped to

@@ -178,6 +178,24 @@ func RunOnlineMasterSlave(cfg OnlineConfig) (*OnlineResult, error) {
 		children[p.Edge(e).From] = append(children[p.Edge(e).From], v)
 	}
 
+	// feeds[v] reports whether v or a node below it on the overlay can
+	// compute. Only those nodes ask for work: a task sent to a leaf
+	// forwarder could never be computed nor passed on, and a run that
+	// waits for it would never end. A breadth-first order from the
+	// master, walked backwards, visits every child before its parent.
+	feeds := make([]bool, n)
+	order := append(make([]int, 0, n), cfg.Master)
+	for i := 0; i < len(order); i++ {
+		order = append(order, children[order[i]]...)
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		feeds[v] = feeds[v] || p.CanCompute(v)
+		if v != cfg.Master && feeds[v] {
+			feeds[p.Edge(parentEdge[v]).From] = true
+		}
+	}
+
 	edgeName := func(e int) string {
 		ed := p.Edge(e)
 		return p.Name(ed.From) + "->" + p.Name(ed.To)
@@ -292,7 +310,7 @@ func RunOnlineMasterSlave(cfg OnlineConfig) (*OnlineResult, error) {
 	}
 
 	request = func(child int) {
-		if child == cfg.Master || requested[child] {
+		if child == cfg.Master || requested[child] || !feeds[child] {
 			return
 		}
 		if st.Buffer[child] >= threshold {
